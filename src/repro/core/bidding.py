@@ -94,6 +94,9 @@ class BiddingMasterPolicy(MasterPolicy):
         self.contests: dict[str, Contest] = {}
         #: job_ids already granted one fallback re-contest (recovery mode).
         self._rebids: set[str] = set()
+        #: Workers that joined mid-run (revived or scaled up); see
+        #: :meth:`on_worker_joined`.
+        self._joined: set[str] = set()
         #: Hot-swap quiesce: runners stop opening contests and park
         #: pending jobs here for :meth:`export_state` instead.
         self._quiescing = False
@@ -146,6 +149,21 @@ class BiddingMasterPolicy(MasterPolicy):
         bid that will never come."""
         for contest in self.contests.values():
             contest.exclude(worker)
+
+    def on_worker_joined(self, worker: str) -> None:
+        """Mark a revived or scaled-up worker as a late joiner on every
+        open contest, and on every later contest that does not invite it.
+
+        The joiner's fresh node subscribes to announcements, but the
+        active set a contest invites can lag it: a failure report from
+        the name's previous incarnation (the dead-letter bounce of a job
+        sent to the dead node) may still arrive after the revive and
+        deactivate the live node.  Its bids on contests it was not
+        invited to are then dropped as late, not protocol errors.
+        """
+        self._joined.add(worker)
+        for contest in self.contests.values():
+            contest.add_late_joiner(worker)
 
     def decision_context(self, job: Job, worker: str) -> tuple:
         """Ledger: the closed contest's bids are the candidate scores."""
@@ -235,6 +253,8 @@ class BiddingMasterPolicy(MasterPolicy):
                 self._busy_runners -= 1
                 continue
             contest = Contest(master.sim, job, list(master.active_workers))
+            for name in self._joined:
+                contest.add_late_joiner(name)
             self.contests[job.job_id] = contest
             master.metrics.contest_opened(master.sim.now, job)
             master.broadcast(JobAnnouncement(job=job))

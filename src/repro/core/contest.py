@@ -57,6 +57,9 @@ class Contest:
         self.late_bids: list[Bid] = []
         #: Workers dropped from the contest after dying mid-window.
         self.excluded: set[str] = set()
+        #: Uninvited workers that joined the fleet mid-run (revived or
+        #: scaled up); their bids are dropped, not protocol errors.
+        self.late_joiners: set[str] = set()
 
     @property
     def duration(self) -> float:
@@ -78,9 +81,10 @@ class Contest:
         if self.status is ContestStatus.CLOSED:
             self.late_bids.append(bid)
             return False
-        if bid.worker in self.excluded:
-            # A bid from a worker excluded after dying can legitimately
-            # be in flight; it is dropped, not a protocol error.
+        if bid.worker in self.excluded or bid.worker in self.late_joiners:
+            # A bid from a worker excluded after dying, or from a late
+            # joiner, can legitimately arrive; it is dropped, not a
+            # protocol error.
             self.late_bids.append(bid)
             return False
         if bid.worker not in self.expected:
@@ -111,6 +115,18 @@ class Contest:
             and not self.all_bids.triggered
         ):
             self.all_bids.succeed()
+
+    def add_late_joiner(self, worker: str) -> None:
+        """Mark an uninvited worker that joined the fleet mid-run.
+
+        Robustness extension, the mirror of :meth:`exclude`: the
+        joiner's fresh node is subscribed to announcements while the
+        invited set predates it, so its bid is filed in
+        :attr:`late_bids` instead of raising.  No-op when the worker was
+        invited.
+        """
+        if worker not in self.expected:
+            self.late_joiners.add(worker)
 
     def winner(self) -> Optional[str]:
         """``getPreferredWorker`` (Listing 1 lines 17-21): lowest estimate.

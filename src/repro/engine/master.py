@@ -39,6 +39,7 @@ from repro.engine.messages import (
     worker_topic,
 )
 from repro.faults.plan import RecoveryConfig
+from repro.fleet import FleetState, JobAgeTable
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Topology
 from repro.sim.events import Event
@@ -57,6 +58,11 @@ class Master:
     ----------
     sim, topology, metrics:
         Shared run infrastructure.
+    fleet:
+        The run's struct-of-arrays fleet mirror (see :mod:`repro.fleet`),
+        shared with the worker nodes; policies read it as
+        ``master.fleet``.  The membership methods below keep its active
+        plane in sync.
     pipeline:
         The workflow graph used to expand completions into child jobs.
     policy:
@@ -94,6 +100,7 @@ class Master:
         worker_names: list[str],
         stream: Optional[JobStream],
         metrics: MetricsCollector,
+        fleet: FleetState,
         rng: Optional[np.random.Generator] = None,
         fault_tolerance: bool = False,
         recovery: Optional[RecoveryConfig] = None,
@@ -142,16 +149,12 @@ class Master:
         self.failed_jobs: dict[str, str] = {}
         self._completed_ids: set[str] = set()
         self._redispatch_counts: dict[str, int] = {}
-        #: job_id -> (job, worker, assigned_at) for in-flight assignments;
-        #: feeds orphan recovery and the straggler monitor.
-        self._assigned_at: dict[str, tuple[Job, str, float]] = {}
-        #: Optional struct-of-arrays fleet mirror (see :mod:`repro.fleet`);
-        #: attached by the runtime when the fast path is enabled.  The
-        #: membership methods below keep its active plane in sync, and
-        #: :attr:`_age` mirrors ``_assigned_at`` for the vectorised
-        #: straggler scan.
-        self.fleet = None
-        self._age = None
+        self.fleet = fleet
+        for name in self.active_workers:
+            fleet.on_join(name)
+        #: (job, worker, assigned_at) of in-flight assignments, in
+        #: assignment order; feeds the vectorised straggler scan.
+        self._age = JobAgeTable()
         #: Re-armed straggler-scan timer (set in :meth:`start` when the
         #: recovery policy enables a re-dispatch timeout).
         self._straggler_timer = None
@@ -209,9 +212,7 @@ class Master:
         if worker not in self.worker_names:
             raise ValueError(f"assignment to unknown worker {worker!r}")
         self.assignments[job.job_id] = worker
-        self._assigned_at[job.job_id] = (job, worker, self.sim.now)
-        if self._age is not None:
-            self._age.add(job.job_id, job, worker, self.sim.now)
+        self._age.add(job.job_id, job, worker, self.sim.now)
         self.metrics.job_assigned(self.sim.now, job, worker)
         if self.monitor is not None:
             self.monitor.on_assigned(job.job_id, worker, self.sim.now)
@@ -223,31 +224,7 @@ class Master:
             listener(job, worker, self.sim.now)
 
     def _drop_assignment(self, job_id: str) -> None:
-        self._assigned_at.pop(job_id, None)
-        if self._age is not None:
-            self._age.remove(job_id)
-
-    def attach_fleet(self, fleet) -> None:
-        """Install the struct-of-arrays mirror (runtime wiring).
-
-        Seeds the active plane from the current membership and arms the
-        :class:`~repro.fleet.JobAgeTable` mirror of ``_assigned_at``.
-        """
-        from repro.fleet import JobAgeTable
-
-        self.fleet = fleet
-        self._age = JobAgeTable()
-        for job_id, (job, worker, at) in self._assigned_at.items():
-            self._age.add(job_id, job, worker, at)
-        for name in self.worker_names:
-            fleet.ensure_worker(name)
-        for name in self.active_workers:
-            fleet.on_join(name)
-        # Policies bind before the runtime wires the fleet, so give them
-        # a post-attach hook to swap in their own mirrors.
-        hook = getattr(self.policy, "on_fleet_attached", None)
-        if hook is not None:
-            hook()
+        self._age.remove(job_id)
 
     def send_to_worker(self, worker: str, message: object) -> None:
         """Point-to-point message to one worker (persistent delivery for
@@ -281,8 +258,7 @@ class Master:
             raise ValueError(f"worker {name!r} already registered")
         self.worker_names.append(name)
         self.active_workers.append(name)
-        if self.fleet is not None:
-            self.fleet.on_join(name)
+        self.fleet.on_join(name)
         self.metrics.worker_joined(self.sim.now, name)
         self.policy.on_worker_joined(name)
 
@@ -297,8 +273,7 @@ class Master:
         if name not in self.active_workers:
             raise ValueError(f"worker {name!r} is not active")
         self.active_workers.remove(name)
-        if self.fleet is not None:
-            self.fleet.on_retire(name)
+        self.fleet.on_retire(name)
         self.metrics.worker_retired(self.sim.now, name)
         self.policy.on_worker_retired(name)
 
@@ -313,8 +288,7 @@ class Master:
         if name in self.active_workers:
             raise ValueError(f"worker {name!r} is already active")
         self.active_workers.append(name)
-        if self.fleet is not None:
-            self.fleet.on_join(name)
+        self.fleet.on_join(name)
         self.metrics.worker_restarted(self.sim.now, name)
         self.policy.on_worker_joined(name)
 
@@ -332,10 +306,6 @@ class Master:
         self.policy = policy
         self._stale_ok = tuple(stale_ok)
         policy.bind(self)
-        if self.fleet is not None:
-            hook = getattr(policy, "on_fleet_attached", None)
-            if hook is not None:
-                hook()
         policy.start()
 
     def arbitrary_worker(self) -> str:
@@ -479,8 +449,7 @@ class Master:
     def _on_worker_failure(self, message: WorkerFailure) -> None:
         if message.worker in self.active_workers:
             self.active_workers.remove(message.worker)
-            if self.fleet is not None:
-                self.fleet.on_fail(message.worker)
+            self.fleet.on_fail(message.worker)
         orphans = [
             job
             for job in message.orphaned
@@ -571,17 +540,7 @@ class Master:
         """
         timeout = self.recovery.redispatch_timeout_s
         now = self.sim.now
-        if self._age is not None:
-            # Vectorised scan over the age-table mirror -- same float
-            # comparison, same insertion order as the dict walk below.
-            overdue = self._age.overdue(now, timeout)
-        else:
-            overdue = [
-                (job, worker)
-                for job, worker, at in list(self._assigned_at.values())
-                if now - at >= timeout
-            ]
-        for job, worker in overdue:
+        for job, worker in self._age.overdue(now, timeout):
             self.metrics.job_orphaned(now, job, worker)
             if self.monitor is not None:
                 self.monitor.on_orphaned(job.job_id, now)

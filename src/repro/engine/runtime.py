@@ -33,7 +33,7 @@ from repro.engine.master import Master
 from repro.engine.worker import WorkerNode
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.fleet import FleetState, soa_enabled
+from repro.fleet import FleetState
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import RunResult
 from repro.net.bandwidth import FairSharePipe
@@ -141,6 +141,7 @@ def build_worker_node(
     pipeline: Pipeline,
     config: EngineConfig,
     noise_rng,
+    fleet: FleetState,
     origin=None,
     initial_cache: Optional[dict[str, float]] = None,
     monitor: Optional[InvariantMonitor] = None,
@@ -150,7 +151,8 @@ def build_worker_node(
 
     Shared by :class:`WorkflowRuntime` and the service layer's
     ``ServiceRuntime`` (which also calls it mid-run for elastic
-    scale-up, with a cold ``initial_cache``).
+    scale-up, with a cold ``initial_cache``).  The node attaches itself
+    to ``fleet``, the run's shared struct-of-arrays mirror.
     """
     cache = WorkerCache(capacity_mb=spec.cache_capacity_mb)
     if initial_cache:
@@ -174,6 +176,7 @@ def build_worker_node(
         cache=cache,
         policy=scheduler.make_worker(),
         metrics=metrics,
+        fleet=fleet,
         pipeline=pipeline,
         prefetch=config.prefetch,
     )
@@ -210,10 +213,11 @@ def restart_worker(host, name: str) -> WorkerNode:
     :class:`repro.serve.ServiceRuntime` (the ``host``): unsubscribes the
     dead node's mailbox (so its dead-letter bounce stops shadowing the
     replacement), wires a fresh node -- warm cache if the fault plan
-    keeps it -- re-admits the name via :meth:`Master.revive_worker`, and
-    starts the node.  The noise RNG substream is memoized per worker
-    name, so the replacement continues the same stream and the run stays
-    seed-deterministic.
+    keeps it -- under the name's fleet slot (resetting the counts and
+    liveness planes and re-syncing the cache row), re-admits the name
+    via :meth:`Master.revive_worker`, and starts the node.  The noise RNG
+    substream is memoized per worker name, so the replacement continues
+    the same stream and the run stays seed-deterministic.
     """
     old = host.workers[name]
     host.topology.broker.unsubscribe(old.inbox)
@@ -228,18 +232,13 @@ def restart_worker(host, name: str) -> WorkerNode:
         host.pipeline,
         host.config,
         noise_rng=host._streams.get("noise", name),
+        fleet=host.fleet,
         origin=host._origin,
         initial_cache=old.cache.contents() if keep_cache else None,
         monitor=getattr(host, "monitor", None),
         obs=getattr(host, "obs", None),
     )
     host.workers[name] = node
-    fleet = getattr(host, "fleet", None)
-    if fleet is not None:
-        # Re-attach the fresh node under the same slot: resets the
-        # counts/liveness planes and re-syncs the cache row (warm or
-        # cold per the fault plan).
-        fleet.attach_node(node)
     host.master.revive_worker(name)
     node.start()
     policy = host._master_policy
@@ -350,6 +349,9 @@ class WorkflowRuntime:
             origin.obs_label = "origin"
         self._origin = origin
 
+        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`), shared
+        #: by the master, every node and the policies (``master.fleet``).
+        self.fleet = FleetState()
         self.workers: dict[str, WorkerNode] = {}
         for spec in profile.specs:
             self.workers[spec.name] = build_worker_node(
@@ -361,6 +363,7 @@ class WorkflowRuntime:
                 self.pipeline,
                 self.config,
                 noise_rng=streams.get("noise", spec.name),
+                fleet=self.fleet,
                 origin=origin,
                 initial_cache=(initial_caches or {}).get(spec.name),
                 monitor=self.monitor,
@@ -377,19 +380,11 @@ class WorkflowRuntime:
             worker_names=[spec.name for spec in profile.specs],
             stream=stream,
             metrics=self.metrics,
+            fleet=self.fleet,
             rng=streams.get("master"),
             fault_tolerance=self.config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
         )
-        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`), or
-        #: ``None`` when ``REPRO_FLEET_SOA=0`` pins the per-object path.
-        #: Policies reach it through ``master.fleet`` to decide whether
-        #: their vectorised scans are on.
-        self.fleet: Optional[FleetState] = FleetState() if soa_enabled() else None
-        if self.fleet is not None:
-            self.master.attach_fleet(self.fleet)
-            for node in self.workers.values():
-                self.fleet.attach_node(node)
         if self.monitor is not None:
             self.master.monitor = self.monitor
             self.monitor.recovery_enabled = self.master.recovery is not None
@@ -431,26 +426,8 @@ class WorkflowRuntime:
         fleet = self.fleet
         probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
         probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        if fleet is not None:
-            # One vectorised count over the mirror planes instead of a
-            # per-worker Python walk each sample.
-            probes.register("fleet.busy", fleet.busy_count, unit="workers")
-            probes.register("links.busy", fleet.link_busy_count, unit="links")
-        else:
-            probes.register(
-                "fleet.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and not w.is_idle
-                ),
-                unit="workers",
-            )
-            probes.register(
-                "links.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and w.machine.link.busy
-                ),
-                unit="links",
-            )
+        probes.register("fleet.busy", fleet.busy_count, unit="workers")
+        probes.register("links.busy", fleet.link_busy_count, unit="links")
         policy = self._master_policy
         if hasattr(policy, "in_flight"):
             probes.register(
@@ -473,35 +450,19 @@ class WorkflowRuntime:
             probes.register(
                 "origin.active", lambda: origin.active_count, unit="transfers"
             )
-        if fleet is not None:
-            # Vector probe groups: the whole fleet's queue depths and
-            # busy flags in one array gather per sample instead of a
-            # per-worker lambda walk (restart-swapped nodes report into
-            # the same slot, so the gather stays current).
-            names = list(self.workers)
-            slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
-            probes.register_vector(
-                [f"worker.{name}.queue" for name in names],
-                lambda: fleet.queued_values(slots),
-                unit="jobs",
-            )
-            probes.register_vector(
-                [f"worker.{name}.busy" for name in names],
-                lambda: fleet.busy_values(slots),
-            )
-        else:
-            for name in self.workers:
-                probes.register(
-                    f"worker.{name}.queue",
-                    lambda name=name: self.workers[name].queued_count,
-                    unit="jobs",
-                )
-                probes.register(
-                    f"worker.{name}.busy",
-                    lambda name=name: int(
-                        self.workers[name].alive and not self.workers[name].is_idle
-                    ),
-                )
+        # Vector probe groups: one array gather per sample; restart-swapped
+        # nodes report into the same slot, so the gather stays current.
+        names = list(self.workers)
+        slots = np.array([fleet.slot_of(name) for name in names], dtype=np.intp)
+        probes.register_vector(
+            [f"worker.{name}.queue" for name in names],
+            lambda: fleet.queued_values(slots),
+            unit="jobs",
+        )
+        probes.register_vector(
+            [f"worker.{name}.busy" for name in names],
+            lambda: fleet.busy_values(slots),
+        )
 
     # -- execution ----------------------------------------------------------
 

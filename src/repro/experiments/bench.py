@@ -34,10 +34,6 @@ from typing import Callable, Optional
 
 SCHEMA_VERSION = 1
 
-#: The primary metric the CI regression gate watches (kept for
-#: backwards compatibility with older baselines/reports).
-GATE_METRIC = "kernel_timeouts"
-
 #: Every metric the CI regression gate watches (rates, higher better).
 #: Metrics absent from an older committed baseline are skipped, so the
 #: gate tightens automatically once the baseline is regenerated.
@@ -200,7 +196,7 @@ def _bench_fleet_scan(workers: int, rounds: int) -> int:
 
     One round = one (load, name)-rank argmin over the fleet mirror --
     alternating full-domain and holder-masked, the two shapes every
-    centralized scheduler pick takes with the fast path on -- plus the
+    centralized scheduler pick takes -- plus the
     winner's accumulator update.
     """
     import numpy as np

@@ -2,11 +2,12 @@
 
 See :mod:`repro.fleet.soa` for the design; ARCHITECTURE.md §12 for the
 layout, mutation seams, and the tie-break/bit-identity rules every
-consumer must follow.  ``REPRO_FLEET_SOA=0`` disables the fast path.
+consumer must follow.  This is the only fleet-state path: every
+runtime builds a :class:`FleetState` and shares it with its master,
+worker nodes and policies.
 """
 
 from repro.fleet.soa import (
-    SOA_ENV,
     BitMatrix,
     FleetState,
     HolderMatrix,
@@ -17,12 +18,9 @@ from repro.fleet.soa import (
     argmax_value_rank,
     argmin_value_rank,
     name_ranks,
-    soa_enabled,
 )
 
 __all__ = [
-    "SOA_ENV",
-    "soa_enabled",
     "name_ranks",
     "argmin_value_rank",
     "argmax_value_rank",

@@ -14,9 +14,10 @@ Design rules (the bit-identity discipline of PR 3 applies throughout):
 * **Per-object state stays authoritative.**  The arrays are *mirrors*,
   maintained incrementally off the existing mutation seams (worker
   join/retire/fail, cache insert/evict, job enqueue/start/finish);
-  they are never rebuilt per event.  ``REPRO_FLEET_SOA=0`` disables the
-  mirrors entirely and every consumer falls back to its original
-  Python scan -- both paths must produce bit-identical metrics.
+  they are never rebuilt per event.  There is one fleet-state path:
+  every runtime builds the mirrors, and the golden fixtures plus the
+  Hypothesis reference models in the tests pin them to the per-object
+  semantics they replaced.
 * **float64 == Python float.**  numpy float64 arithmetic is IEEE-754
   double, the same as Python's ``float``; mirroring ``load[w] += cost``
   as ``values[i] += cost`` yields the identical bit pattern, so argmin
@@ -33,28 +34,12 @@ Design rules (the bit-identity discipline of PR 3 applies throughout):
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.job import Job
-
-#: Environment switch for the fast path.  Default on; ``0``/``false``/
-#: ``off``/``no`` fall back to the per-object Python scans everywhere.
-SOA_ENV = "REPRO_FLEET_SOA"
-
-
-def soa_enabled() -> bool:
-    """Whether the struct-of-arrays fast path is enabled (default yes)."""
-    return os.environ.get(SOA_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
 
 # -- tie-break helpers -----------------------------------------------------
 
@@ -303,7 +288,9 @@ class FleetState:
     # -- node seams -------------------------------------------------------
 
     def attach_node(self, node) -> int:
-        """Wire a (possibly restarted) worker node into the mirror.
+        """Wire a (possibly restarted) worker node into the mirror and
+        return its slot (called by :class:`~repro.engine.worker.WorkerNode`
+        on construction).
 
         Resets the slot's node-side planes from the node's actual state
         -- counts, liveness, cache contents (warm restarts preload
@@ -311,8 +298,6 @@ class FleetState:
         and link observers so subsequent mutations stream in.
         """
         slot = self.ensure_worker(node.name)
-        node.fleet = self
-        node.fleet_slot = slot
         self.alive[slot] = node.alive
         self.outstanding[slot] = node._outstanding_jobs
         self.queued[slot] = len(node.queue)
@@ -549,12 +534,12 @@ class HolderMatrix:
 class JobAgeTable:
     """Append-only (job, worker, assigned-at) table for the straggler scan.
 
-    Mirrors the master's ``_assigned_at`` dict with the same ordering
+    The master's in-flight assignment table, with ``dict`` ordering
     semantics -- new ids append, updates of a live id stay in place,
     removals free the slot -- so the vectorised overdue scan yields
-    (job, worker) pairs in exactly the dict's iteration order (the
-    order recovery timers are armed in, which the determinism contract
-    pins).  Dead slots are compacted once they outnumber live ones.
+    (job, worker) pairs in assignment order (the order recovery timers
+    are armed in, which the determinism contract pins).  Dead slots are
+    compacted once they outnumber live ones.
     """
 
     def __init__(self) -> None:
@@ -672,14 +657,13 @@ class HoldingsIndex:
 class LocalityQueue:
     """A FIFO of jobs with a parallel repo-column array.
 
-    Drop-in for the ``deque`` the matchmaking/delay masters keep: same
+    The job queue of the matchmaking/delay masters: deque-style
     append/appendleft/popleft/delete-at-index operations, plus a
     vectorised first-local scan against a :class:`HoldingsIndex` (one
-    boolean gather instead of a per-job ``set`` probe).  With no index
-    (SoA off) the callers keep their original Python scans.
+    boolean gather instead of a per-job ``set`` probe).
     """
 
-    def __init__(self, index: Optional[HoldingsIndex] = None) -> None:
+    def __init__(self, index: HoldingsIndex) -> None:
         self.index = index
         self._jobs: list = []
         self._cols = np.zeros(0, dtype=np.int64)
@@ -697,7 +681,7 @@ class LocalityQueue:
         return self._jobs[i]
 
     def _col_of(self, job) -> int:
-        if self.index is None or job.repo_id is None:
+        if job.repo_id is None:
             return -1
         return self.index.col(job.repo_id)
 
@@ -723,23 +707,19 @@ class LocalityQueue:
         self._cols[i:n] = self._cols[i + 1 : n + 1]
         return job
 
-    def local_mask(self, worker: str) -> Optional[np.ndarray]:
-        """Per-queued-job locality for ``worker`` (None when no index)."""
-        if self.index is None:
-            return None
+    def local_mask(self, worker: str) -> np.ndarray:
+        """Per-queued-job locality for ``worker``."""
         return self.index.local_mask(worker, self._cols[: len(self._jobs)])
 
     def first_local(self, worker: str) -> int:
         """Index of the first job local to ``worker``, or -1."""
         mask = self.local_mask(worker)
-        if mask is None or not mask.any():
+        if not mask.any():
             return -1
         return int(mask.argmax())
 
 
 __all__ = [
-    "SOA_ENV",
-    "soa_enabled",
     "name_ranks",
     "argmin_value_rank",
     "argmax_value_rank",

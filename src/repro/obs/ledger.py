@@ -39,7 +39,7 @@ class CandidateScore:
     Every field except ``worker`` is optional: policies report what they
     actually looked at (a bidding contest knows costs, a pull accept
     knows only who pulled), and the generic fallback fills queue/
-    locality/link facts from the fleet mirror when one is attached.
+    locality/link facts from the fleet mirror.
     Lower ``score`` is better by convention (costs, not fitness).
     """
 

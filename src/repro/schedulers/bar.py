@@ -67,10 +67,10 @@ class BARMasterPolicy(MasterPolicy):
         self.speed_view: dict[str, tuple[float, float, float, float]] = {}
         self._plan: dict[str, str] = {}
         self._load: dict[str, float] = {}
-        #: Struct-of-arrays mirror of ``_load`` (None when the fast path
-        #: is off); the dict stays authoritative, every mutation is
-        #: mirrored through the identical scalar operation.
-        self._soa: Optional[LoadTable] = None
+        #: Struct-of-arrays mirror of ``_load``; the dict stays
+        #: authoritative, every mutation is mirrored through the
+        #: identical scalar operation.
+        self._soa = LoadTable()
         #: Phase-2 moves actually performed (diagnostics/tests).
         self.adjustments = 0
         #: Whether the assignment in flight came from the upfront plan
@@ -92,80 +92,22 @@ class BARMasterPolicy(MasterPolicy):
     def _is_local(self, job: Job, worker: str) -> bool:
         return job.repo_id is None or job.repo_id in self.cache_view.get(worker, ())
 
-    def _soa_on(self) -> bool:
-        return getattr(getattr(self, "master", None), "fleet", None) is not None
-
-    def _earliest(self) -> str:
-        if self._soa is not None:
-            return self._soa.argmin_name()
-        return min(self._load, key=lambda name: (self._load[name], name))
-
     # -- planning ----------------------------------------------------------------
 
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
+        """Plan every known job over struct-of-arrays load and locality
+        planes.
+
+        Bit-identical to the per-object two-phase planner (kept as the
+        test oracle in ``tests/fleet_reference.py``): the load cells see
+        the same scalar ``+=``/``-=`` sequence, phase-1 picks use the
+        (load, name) rank argmin, phase-2 prices all candidates of one
+        move with element-wise vector ops in the scalar operation order,
+        and the accept scan stays a sequential Python loop so the
+        first-improvement-within-epsilon semantics survive.
+        """
         workers = list(self.master.worker_names)
         self._ensure_views(workers)
-        if self._soa_on() and workers:
-            self._plan_vectorized(jobs, workers)
-            return
-        self._soa = None
-        self._load = {name: 0.0 for name in workers}
-        placements: dict[str, str] = {}
-
-        # Phase 1: entirely-local assignment where possible.
-        for job in jobs:
-            holders = [name for name in workers if self._is_local(job, name)]
-            if holders:
-                worker = min(holders, key=lambda name: (self._load[name], name))
-            else:
-                worker = self._earliest()
-            placements[job.job_id] = worker
-            self._load[worker] += self._cost(job, worker, self._is_local(job, worker))
-
-        # Phase 2: trade locality for balance while the makespan improves.
-        jobs_by_id = {job.job_id: job for job in jobs}
-        moves = 0
-        budget = self.max_adjustments if self.max_adjustments is not None else len(jobs) * 4
-        while moves < budget:
-            slowest = max(self._load, key=lambda name: (self._load[name], name))
-            fastest = self._earliest()
-            if slowest == fastest:
-                break
-            candidates = [
-                job_id for job_id, worker in placements.items() if worker == slowest
-            ]
-            best_move = None
-            best_makespan = self._load[slowest]
-            for job_id in candidates:
-                job = jobs_by_id[job_id]
-                out_cost = self._cost(job, slowest, self._is_local(job, slowest))
-                in_cost = self._cost(job, fastest, self._is_local(job, fastest))
-                new_slowest = self._load[slowest] - out_cost
-                new_fastest = self._load[fastest] + in_cost
-                new_makespan = max(new_slowest, new_fastest)
-                if new_makespan < best_makespan - 1e-12:
-                    best_makespan = new_makespan
-                    best_move = (job_id, out_cost, in_cost)
-            if best_move is None:
-                break
-            job_id, out_cost, in_cost = best_move
-            placements[job_id] = fastest
-            self._load[slowest] -= out_cost
-            self._load[fastest] += in_cost
-            moves += 1
-        self.adjustments = moves
-        self._plan = placements
-
-    def _plan_vectorized(self, jobs: list[Job], workers: list[str]) -> None:
-        """The struct-of-arrays port of the scalar planner above.
-
-        Bit-identical by construction: the load cells see the same
-        scalar ``+=``/``-=`` sequence, phase-1 picks use the (load,
-        name) rank argmin, phase-2 prices all candidates of one move
-        with element-wise vector ops in the scalar path's operation
-        order, and the accept scan stays a sequential Python loop so
-        the first-improvement-within-epsilon semantics survive.
-        """
         count = len(workers)
         ranks = name_ranks(workers)
         loads = np.zeros(count, dtype=np.float64)
@@ -202,7 +144,7 @@ class BARMasterPolicy(MasterPolicy):
             if slow == fast:
                 break
             # np.nonzero yields candidates in ascending job order --
-            # the insertion order of the scalar path's placements dict.
+            # the insertion order of the reference planner's dict.
             candidates = np.nonzero(placed == slow)[0]
             best_at = -1
             best_makespan = loads[slow]
@@ -232,7 +174,6 @@ class BARMasterPolicy(MasterPolicy):
         self.adjustments = moves
         self._plan = placements
         self._load = {workers[i]: float(loads[i]) for i in range(count)}
-        self._soa = LoadTable()
         self._soa.reset(self._load)
 
     def _ensure_views(self, workers: list[str]) -> None:
@@ -249,8 +190,7 @@ class BARMasterPolicy(MasterPolicy):
         entries; orphans re-dispatched by the master then fall through
         to the earliest-completion rule over the survivors."""
         self._load.pop(worker, None)
-        if self._soa is not None:
-            self._soa.pop(worker)
+        self._soa.pop(worker)
         for job_id, name in list(self._plan.items()):
             if name == worker:
                 del self._plan[job_id]
@@ -260,12 +200,9 @@ class BARMasterPolicy(MasterPolicy):
         (BAR planned the run without it; only re-dispatched and late
         jobs should flow its way)."""
         if self._load and worker not in self._load:
-            if self._soa is not None:
-                ceiling = float(self._soa.max_value())
-                self._load[worker] = ceiling
-                self._soa.ensure(worker, ceiling)
-            else:
-                self._load[worker] = max(self._load.values())
+            ceiling = float(self._soa.max_value())
+            self._load[worker] = ceiling
+            self._soa.ensure(worker, ceiling)
 
     # -- arrival-time dispatch -------------------------------------------------------
 
@@ -276,14 +213,11 @@ class BARMasterPolicy(MasterPolicy):
             if not self._load:
                 self._load = {name: 0.0 for name in self.master.active_workers}
                 self._ensure_views(list(self._load))
-                if self._soa_on():
-                    self._soa = LoadTable()
-                    self._soa.reset(self._load)
-            worker = self._earliest()
+                self._soa.reset(self._load)
+            worker = self._soa.argmin_name()
             cost = self._cost(job, worker, self._is_local(job, worker))
             self._load[worker] += cost
-            if self._soa is not None:
-                self._soa.add(worker, cost)
+            self._soa.add(worker, cost)
         self.master.assign(job, worker)
 
     def decision_context(self, job: Job, worker: str) -> tuple:

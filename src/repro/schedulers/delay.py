@@ -42,12 +42,12 @@ class DelayMasterPolicy(MasterPolicy):
             raise ValueError("max_skips must be non-negative")
         self.max_skips = max_skips
         self._quiescing = False
-        self.job_queue = deque()
         self.skips: dict[str, int] = {}
         self.holdings: dict[str, set[str]] = {}
-        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
-        #: path is off); drives the vectorised queue locality mask.
-        self._hx: Optional[HoldingsIndex] = None
+        #: Struct-of-arrays mirror of ``holdings``; drives the queue's
+        #: vectorised locality mask.
+        self._hx = HoldingsIndex()
+        self.job_queue = LocalityQueue(self._hx)
         self.parked: deque[str] = deque()
         #: Mirror of ``parked`` membership for the O(1) dedup test.
         self._parked_set: set[str] = set()
@@ -57,16 +57,6 @@ class DelayMasterPolicy(MasterPolicy):
         #: lose it (requeued in :meth:`on_worker_failed`).
         self.in_flight: dict[str, tuple[str, Job]] = {}
 
-    def on_fleet_attached(self) -> None:
-        """Runtime wired the fleet mirror: swap in the vectorised queue
-        (before any job arrives); the holdings dict stays authoritative,
-        the index mirrors it."""
-        self._hx = HoldingsIndex()
-        queue = LocalityQueue(self._hx)
-        for job in self.job_queue:
-            queue.append(job)
-        self.job_queue = queue
-
     def on_job(self, job: Job) -> None:
         self.job_queue.append(job)
         self.skips.setdefault(job.job_id, 0)
@@ -75,8 +65,7 @@ class DelayMasterPolicy(MasterPolicy):
     def on_job_completed(self, job: Job, worker: str) -> None:
         if job.repo_id is not None and worker is not None:
             self.holdings.setdefault(worker, set()).add(job.repo_id)
-            if self._hx is not None:
-                self._hx.add(worker, job.repo_id)
+            self._hx.add(worker, job.repo_id)
 
     def on_message(self, message: object) -> bool:
         if isinstance(message, PullRequest):
@@ -111,8 +100,7 @@ class DelayMasterPolicy(MasterPolicy):
         self.parked = deque(name for name in self.parked if name != worker)
         self._parked_set.discard(worker)
         self.holdings.pop(worker, None)
-        if self._hx is not None:
-            self._hx.drop_worker(worker)
+        self._hx.drop_worker(worker)
         lost = [
             job_id
             for job_id, (offeree, _) in self.in_flight.items()
@@ -149,29 +137,11 @@ class DelayMasterPolicy(MasterPolicy):
         )
 
     def _try_offer(self, worker: str) -> bool:
-        if self._hx is not None:
-            return self._try_offer_vectorized(worker)
-        for index, job in enumerate(self.job_queue):
-            if self._local_for(worker, job):
-                del self.job_queue[index]
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-            self.skips[job.job_id] = self.skips.get(job.job_id, 0) + 1
-            if self.skips[job.job_id] > self.max_skips:
-                # Waited long enough: launch non-locally.
-                del self.job_queue[index]
-                self.skips.pop(job.job_id, None)
-                self._offer(worker, job)
-                return True
-        return False
-
-    def _try_offer_vectorized(self, worker: str) -> bool:
-        """The scan above against one precomputed locality mask.
+        """Walk the queue against one precomputed locality mask.
 
         The walk (and its skip accounting) stays sequential -- the skip
         counters mutate as the scan advances, which no batched form can
-        reproduce -- but the per-job holdings-set probe becomes a single
+        reproduce -- but the per-job holdings-set probe is a single
         boolean gather over the queue's repo-column plane.
         """
         mask = self.job_queue.local_mask(worker)
@@ -212,7 +182,7 @@ class DelayMasterPolicy(MasterPolicy):
 
     def export_state(self) -> list[Job]:
         jobs = []
-        while self.job_queue:  # popleft works for deque and LocalityQueue
+        while self.job_queue:
             jobs.append(self.job_queue.popleft())
         self.skips.clear()
         return jobs

@@ -49,12 +49,12 @@ class MatchmakingMasterPolicy(MasterPolicy):
     def __init__(self) -> None:
         super().__init__()
         self._quiescing = False
-        self.job_queue = deque()
         #: worker -> repos known to be cached there (built from completions).
         self.holdings: dict[str, set[str]] = {}
-        #: Struct-of-arrays mirror of ``holdings`` (None when the fast
-        #: path is off); drives the vectorised first-local queue scan.
-        self._hx: Optional[HoldingsIndex] = None
+        #: Struct-of-arrays mirror of ``holdings``; drives the queue's
+        #: vectorised first-local scan.
+        self._hx = HoldingsIndex()
+        self.job_queue = LocalityQueue(self._hx)
         #: Pulls parked because nothing was offerable: (worker, attempt).
         self.parked: deque[tuple[str, int]] = deque()
         #: Mirror of ``parked`` worker membership -- the dedup test used
@@ -66,16 +66,6 @@ class MatchmakingMasterPolicy(MasterPolicy):
         #: lose it (requeued in :meth:`on_worker_failed`).
         self.in_flight: dict[str, tuple[str, Job]] = {}
 
-    def on_fleet_attached(self) -> None:
-        """Runtime wired the fleet mirror: swap in the vectorised queue
-        (before any job arrives); the holdings dict stays authoritative,
-        the index mirrors it."""
-        self._hx = HoldingsIndex()
-        queue = LocalityQueue(self._hx)
-        for job in self.job_queue:
-            queue.append(job)
-        self.job_queue = queue
-
     def on_job(self, job: Job) -> None:
         self.job_queue.append(job)
         self._service_parked()
@@ -83,8 +73,7 @@ class MatchmakingMasterPolicy(MasterPolicy):
     def on_job_completed(self, job: Job, worker: str) -> None:
         if job.repo_id is not None and worker is not None:
             self.holdings.setdefault(worker, set()).add(job.repo_id)
-            if self._hx is not None:
-                self._hx.add(worker, job.repo_id)
+            self._hx.add(worker, job.repo_id)
 
     def on_message(self, message: object) -> bool:
         if isinstance(message, PullRequest):
@@ -130,8 +119,7 @@ class MatchmakingMasterPolicy(MasterPolicy):
         self.parked = deque(entry for entry in self.parked if entry[0] != worker)
         self._parked_workers.discard(worker)
         self.holdings.pop(worker, None)
-        if self._hx is not None:
-            self._hx.drop_worker(worker)
+        self._hx.drop_worker(worker)
         lost = [
             job_id
             for job_id, (offeree, _) in self.in_flight.items()
@@ -172,21 +160,11 @@ class MatchmakingMasterPolicy(MasterPolicy):
         if not self.job_queue:
             return False
         if attempt <= 1:
-            if self._hx is not None:
-                # Vectorised first-local scan: one boolean gather over
-                # the queue's repo-column plane instead of a per-job
-                # holdings-set probe.
-                index = self.job_queue.first_local(worker)
-                if index < 0:
-                    return False
-                self._offer(worker, self.job_queue.delete(index))
-                return True
-            for index, job in enumerate(self.job_queue):
-                if self._local_for(worker, job):
-                    del self.job_queue[index]
-                    self._offer(worker, job)
-                    return True
-            return False
+            index = self.job_queue.first_local(worker)
+            if index < 0:
+                return False
+            self._offer(worker, self.job_queue.delete(index))
+            return True
         job = self.job_queue.popleft()
         self._offer(worker, job)
         return True
@@ -212,7 +190,7 @@ class MatchmakingMasterPolicy(MasterPolicy):
 
     def export_state(self) -> list[Job]:
         jobs = []
-        while self.job_queue:  # popleft works for deque and LocalityQueue
+        while self.job_queue:
             jobs.append(self.job_queue.popleft())
         return jobs
 

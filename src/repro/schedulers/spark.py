@@ -65,8 +65,8 @@ class SparkMasterPolicy(MasterPolicy):
         self._planned_counts: dict[str, int] = {}
         self._order: Optional[list[str]] = None
         #: Struct-of-arrays mirror of ``_planned_counts`` aligned with
-        #: ``_order`` (None when the fast path is off or after fleet
-        #: churn; rebuilt lazily from the authoritative dict).
+        #: ``_order`` (None before planning or after fleet churn;
+        #: rebuilt lazily from the authoritative dict).
         self._counts: Optional[np.ndarray] = None
         #: Whether the assignment in flight came from the upfront plan
         #: (vs the dynamic balanced fallback) -- read by the decision
@@ -92,43 +92,21 @@ class SparkMasterPolicy(MasterPolicy):
     # -- planning ------------------------------------------------------------
 
     def on_upfront_jobs(self, jobs: list[Job]) -> None:
-        """Compute the full assignment before the run starts."""
+        """Compute the full assignment before the run starts.
+
+        A job goes NODE_LOCAL to the least-planned holder of its repo
+        with plan room, else degrades to ANY: the least-planned executor
+        (ties by registration order -- all workers are equal to Spark).
+        Counts live in an int64 plane aligned with the executor order;
+        the holder pick is a (count, name) rank argmin over the masked
+        holder set, the ANY pick np.argmin's first-occurrence tie-break
+        -- exactly the per-object rules of the reference planner in
+        ``tests/fleet_reference.py``.
+        """
         workers = self._executor_order()
         self._planned_counts = {worker: 0 for worker in workers}
         fair_share = len(jobs) / len(workers)
         cap = fair_share + self.locality_wait_slots
-        if self._soa_on():
-            self._plan_vectorized(jobs, workers, cap)
-            return
-        for job in jobs:
-            worker = None
-            if self.use_locality and job.repo_id is not None:
-                holders = [
-                    name
-                    for name in workers
-                    if job.repo_id in self.cache_view.get(name, ())
-                ]
-                # NODE_LOCAL if a holder has plan room; else degrade to ANY.
-                holders = [h for h in holders if self._planned_counts[h] < cap]
-                if holders:
-                    worker = min(holders, key=lambda h: (self._planned_counts[h], h))
-            if worker is None:
-                worker = self._least_loaded(workers)
-            self._plan[job.job_id] = worker
-            self._planned_counts[worker] += 1
-
-    def _soa_on(self) -> bool:
-        return getattr(getattr(self, "master", None), "fleet", None) is not None
-
-    def _plan_vectorized(self, jobs: list[Job], workers: list[str], cap: float) -> None:
-        """Struct-of-arrays port of the planning loop above.
-
-        Counts live in an int64 plane aligned with the executor order;
-        the holder pick is a (count, name) rank argmin over the masked
-        holder set, the ANY fallback np.argmin's first-occurrence
-        (= registration-order) tie-break -- both exactly the scalar
-        rules, so the resulting plan is identical.
-        """
         counts = np.zeros(len(workers), dtype=np.int64)
         ranks = name_ranks(workers)
         matrix = HolderMatrix(workers, self.cache_view) if self.use_locality else None
@@ -144,16 +122,6 @@ class SparkMasterPolicy(MasterPolicy):
         for index, worker in enumerate(workers):
             self._planned_counts[worker] = int(counts[index])
         self._counts = counts
-
-    def _least_loaded(self, workers: list[str]) -> str:
-        """Balanced by *count* only -- all workers are equal to Spark.
-
-        Ties break by the run's executor registration order, keeping the
-        whole plan deterministic per run yet varying across runs.
-        """
-        return min(
-            enumerate(workers), key=lambda pair: (self._planned_counts[pair[1]], pair[0])
-        )[1]
 
     # -- fleet churn -----------------------------------------------------------
 
@@ -200,13 +168,10 @@ class SparkMasterPolicy(MasterPolicy):
                 for name in workers:
                     self._planned_counts.setdefault(name, 0)
                 self._counts = None
-            if self._soa_on():
-                counts = self._counts_mirror(workers)
-                slot = int(np.argmin(counts))
-                worker = workers[slot]
-                counts[slot] += 1
-            else:
-                worker = self._least_loaded(workers)
+            counts = self._counts_mirror(workers)
+            slot = int(np.argmin(counts))
+            worker = workers[slot]
+            counts[slot] += 1
             self._planned_counts[worker] += 1
         self.master.assign(job, worker)
 

@@ -43,7 +43,7 @@ from repro.engine.runtime import (
 )
 from repro.engine.worker import WorkerNode
 from repro.faults.injector import FaultInjector
-from repro.fleet import FleetState, soa_enabled
+from repro.fleet import FleetState
 from repro.faults.plan import FaultPlan
 from repro.metrics.collector import MetricsCollector
 from repro.net.bandwidth import FairSharePipe
@@ -162,6 +162,10 @@ class ServiceRuntime:
             self._origin.obs = self.obs
             self._origin.obs_label = "origin"
 
+        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`); same
+        #: wiring as the workflow runtime, and scale-up nodes attach to it
+        #: as they are built.
+        self.fleet = FleetState()
         self.workers: dict[str, WorkerNode] = {}
         for spec in profile.specs:
             self.workers[spec.name] = build_worker_node(
@@ -173,6 +177,7 @@ class ServiceRuntime:
                 self.pipeline,
                 self.config,
                 noise_rng=streams.get("noise", spec.name),
+                fleet=self.fleet,
                 origin=self._origin,
                 monitor=self.monitor,
                 obs=self.obs,
@@ -187,6 +192,7 @@ class ServiceRuntime:
             worker_names=[spec.name for spec in profile.specs],
             stream=None,  # external intake: the dispatcher submits
             metrics=self.metrics,
+            fleet=self.fleet,
             rng=streams.get("master"),
             fault_tolerance=self.config.fault_tolerance,
             recovery=faults.recovery if faults is not None else None,
@@ -197,14 +203,6 @@ class ServiceRuntime:
             self.monitor.contest_window_s = getattr(
                 self._master_policy, "window_s", None
             )
-        #: Struct-of-arrays fleet mirror (see :mod:`repro.fleet`), or
-        #: ``None`` when ``REPRO_FLEET_SOA=0``; same wiring as the
-        #: workflow runtime, plus per-scale-up attaches.
-        self.fleet: Optional[FleetState] = FleetState() if soa_enabled() else None
-        if self.fleet is not None:
-            self.master.attach_fleet(self.fleet)
-            for node in self.workers.values():
-                self.fleet.attach_node(node)
         if hasattr(self._master_policy, "cache_view"):
             self._master_policy.cache_view = {
                 name: set(worker.cache.contents())
@@ -300,17 +298,7 @@ class ServiceRuntime:
         master = self.master
         probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
         probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        if self.fleet is not None:
-            # One vectorised count over the alive/outstanding planes.
-            probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
-        else:
-            probes.register(
-                "fleet.busy",
-                lambda: sum(
-                    1 for w in self.workers.values() if w.alive and not w.is_idle
-                ),
-                unit="workers",
-            )
+        probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
         probes.register("service.inflight", lambda: self.inflight, unit="jobs")
         probes.register(
             "admission.depth", lambda: self.admission.depth, unit="jobs"
@@ -473,13 +461,12 @@ class ServiceRuntime:
             self.pipeline,
             self.config,
             noise_rng=self._streams.get("noise", name),
+            fleet=self.fleet,
             origin=self._origin,
             monitor=self.monitor,
             obs=self.obs,
         )
         self.workers[name] = node
-        if self.fleet is not None:
-            self.fleet.attach_node(node)
         node.start()
         if hasattr(self._master_policy, "cache_view"):
             self._master_policy.cache_view[name] = set()

@@ -77,6 +77,7 @@ class TestTermination:
 
     def test_requires_workers(self):
         from repro.engine.master import Master
+        from repro.fleet import FleetState
 
         with pytest.raises(ValueError):
             Master(
@@ -87,6 +88,7 @@ class TestTermination:
                 worker_names=[],
                 stream=JobStream(),
                 metrics=None,
+                fleet=FleetState(),
             )
 
 

@@ -8,6 +8,11 @@ and a plain-Python reference model, and require exact agreement: a
 mirror that drifts by one bit would silently change scheduling
 decisions while every example-based test still passes.
 
+The planner properties hold BAR's and Spark's vectorised planners to
+the per-object reference planners in ``fleet_reference.py``: random
+fleets, cache views, job lists and streaming churn must produce the same
+plan, the same load-table float bits and the same assignments.
+
 The final test closes the loop end-to-end: a fault-injected workflow
 run with the :mod:`repro.check` invariant monitors live, after which
 the fleet planes must equal the worker nodes' own state.
@@ -18,12 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_profile, make_spec
+from fleet_reference import ReferenceBAR, ReferenceSpark
 from repro.data.cache import WorkerCache
 from repro.engine.runtime import EngineConfig, WorkflowRuntime
 from repro.fleet import FleetState, LoadTable
 from repro.fleet.soa import _CacheObserver
 from repro.net.topology import TopologyConfig
+from repro.schedulers.bar import BARMasterPolicy
 from repro.schedulers.registry import make_scheduler
+from repro.schedulers.spark import SparkMasterPolicy
 from repro.workload.job import Job, JobArrival, JobStream
 from repro.workload.msr import TASK_ANALYZER
 
@@ -243,7 +251,6 @@ def test_fleet_mirror_consistent_after_faulty_run():
     result = runtime.run()
     assert result.jobs_completed == 10
     fleet = runtime.fleet
-    assert fleet is not None
     for name, node in runtime.workers.items():
         slot = fleet.slot_of(name)
         assert bool(fleet.alive[slot]) == node.alive
@@ -254,3 +261,145 @@ def test_fleet_mirror_consistent_after_faulty_run():
     assert set(
         name for name in runtime.master.active_workers
     ) == {name for name in fleet.names if fleet.active[fleet.slot_of(name)]}
+
+
+# -- planners vs the per-object reference ----------------------------------
+
+PLAN_REPOS = [f"r{i}" for i in range(5)]
+# Discrete values keep exact load/count ties (and thus every tie-break
+# rule) frequent; the float ranges cover everything in between.
+mb_st = st.one_of(st.sampled_from([1.0, 10.0, 40.0]), st.floats(0.5, 80.0))
+seconds_st = st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.01, 5.0))
+speed_st = st.tuples(
+    st.one_of(st.sampled_from([10.0, 20.0]), st.floats(2.0, 50.0)),
+    st.one_of(st.sampled_from([50.0, 100.0]), st.floats(10.0, 200.0)),
+    st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    st.sampled_from([0.0, 0.05, 0.5]),
+)
+plan_job_st = st.tuples(
+    # None = no data; "rx" = a repo no worker holds.
+    st.sampled_from(PLAN_REPOS + [None, "rx"]),
+    mb_st,
+    seconds_st,
+)
+stream_op_st = st.one_of(
+    st.tuples(st.just("planned"), st.integers(0, 40)),
+    st.tuples(st.just("dynamic"), plan_job_st),
+    st.tuples(st.just("join"), speed_st),
+    st.tuples(st.just("fail"), st.integers(0, 10)),
+)
+
+
+@st.composite
+def planning_case(draw):
+    n_workers = draw(st.integers(1, 6))
+    workers = [f"w{i}" for i in range(n_workers)]
+    return {
+        "workers": workers,
+        "cache_view": {
+            name: draw(st.sets(st.sampled_from(PLAN_REPOS), max_size=3))
+            for name in workers
+        },
+        "speeds": {name: draw(speed_st) for name in workers},
+        "jobs": draw(st.lists(plan_job_st, max_size=25)),
+        "ops": draw(st.lists(stream_op_st, max_size=15)),
+    }
+
+
+class _PlanningMaster:
+    """The master surface the planners touch: fleet names, the per-run
+    RNG (Spark's executor shuffle) and an assignment log."""
+
+    def __init__(self, workers, seed=5):
+        self.worker_names = list(workers)
+        self.active_workers = list(workers)
+        self.rng = np.random.default_rng(seed)
+        self.assigned = []
+
+    def assign(self, job, worker):
+        self.assigned.append((job.job_id, worker))
+
+
+def _jobs(specs, prefix):
+    return [
+        Job(
+            job_id=f"{prefix}{i}",
+            task=TASK_ANALYZER,
+            repo_id=repo,
+            size_mb=size if repo is not None else 0.0,
+            base_compute_s=compute,
+        )
+        for i, (repo, size, compute) in enumerate(specs)
+    ]
+
+
+def _load_bits(policy):
+    return [(name, float(value).hex()) for name, value in policy._load.items()]
+
+
+def _drive(policy_cls, case, **kwargs):
+    """Plan ``case`` with ``policy_cls``, then replay its streaming ops
+    (planned and dynamic arrivals, late joins, failures); returns the
+    policy and a snapshot of its state after every step."""
+    master = _PlanningMaster(case["workers"])
+    policy = policy_cls(**kwargs)
+    policy.bind(master)
+    policy.cache_view = {name: set(repos) for name, repos in case["cache_view"].items()}
+    if hasattr(policy, "speed_view"):
+        policy.speed_view = dict(case["speeds"])
+    jobs = _jobs(case["jobs"], "j")
+    policy.on_upfront_jobs(jobs)
+    snapshots = [_snapshot(policy, master)]
+    joined = 0
+    for step, op in enumerate(case["ops"]):
+        if op[0] == "planned" and jobs:
+            policy.on_job(jobs[op[1] % len(jobs)])
+        elif op[0] == "dynamic":
+            policy.on_job(_jobs([op[1]], f"d{step}-")[0])
+        elif op[0] == "join":
+            name = f"e{joined}"
+            joined += 1
+            master.worker_names.append(name)
+            master.active_workers.append(name)
+            policy.cache_view[name] = set()
+            if hasattr(policy, "speed_view"):
+                policy.speed_view[name] = op[1]
+            policy.on_worker_joined(name)
+        elif op[0] == "fail" and len(master.active_workers) > 1:
+            name = master.active_workers.pop(op[1] % len(master.active_workers))
+            policy.on_worker_failed(name, [])
+        snapshots.append(_snapshot(policy, master))
+    return policy, snapshots
+
+
+def _snapshot(policy, master):
+    state = {"plan": list(policy._plan.items()), "assigned": list(master.assigned)}
+    if isinstance(policy, BARMasterPolicy):
+        state["load"] = _load_bits(policy)
+        state["adjustments"] = policy.adjustments
+    else:
+        state["counts"] = list(policy._planned_counts.items())
+    return state
+
+
+@given(planning_case(), st.one_of(st.none(), st.integers(0, 12)))
+@settings(max_examples=150, deadline=None)
+def test_bar_planner_matches_reference(case, max_adjustments):
+    """Vectorised BAR == the per-object planner: same placements, same
+    float bits in every load cell, same number of phase-2 moves, and the
+    same arrival-time picks through late joins and failures."""
+    _, fast = _drive(BARMasterPolicy, case, max_adjustments=max_adjustments)
+    _, reference = _drive(ReferenceBAR, case, max_adjustments=max_adjustments)
+    assert fast == reference
+
+
+@given(planning_case(), st.integers(0, 3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_spark_planner_matches_reference(case, wait_slots, use_locality):
+    """Vectorised Spark == the per-object planner: same plan, same
+    planned counts, and the same balanced dynamic picks through late
+    joins and failures."""
+    kwargs = {"locality_wait_slots": wait_slots, "use_locality": use_locality}
+    _, fast = _drive(SparkMasterPolicy, case, **kwargs)
+    _, reference = _drive(ReferenceSpark, case, **kwargs)
+    assert fast == reference

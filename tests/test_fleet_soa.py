@@ -242,8 +242,9 @@ class TestLocalityQueue:
         hx.add("w1", "r1")
         assert queue.first_local("w1") == 0
 
-    def test_without_index_mask_is_none(self):
-        queue = LocalityQueue()
+    def test_empty_index_only_repo_less_jobs_local(self):
+        queue = LocalityQueue(HoldingsIndex())
         queue.append(_job("a", "r1"))
-        assert queue.local_mask("w1") is None
-        assert queue.first_local("w1") == -1
+        queue.append(_job("plain"))
+        assert list(queue.local_mask("w1")) == [False, True]
+        assert queue.first_local("w1") == 1

@@ -13,45 +13,46 @@ import pytest
 
 from repro import FaultPlan, RecoveryConfig, run_service
 from repro.faults import WorkerCrash
+from repro.fleet import FleetState
 from repro.serve import Autoscaler, AutoscalerConfig
 
 
 class StubService:
-    """Minimal stand-in exposing exactly what the autoscaler reads."""
+    """Minimal stand-in exposing exactly what the autoscaler reads: the
+    master's active set and backlog, the admission depth, and a real
+    fleet mirror whose active/outstanding planes give the busy fraction."""
 
     class _Master:
-        def __init__(self, names):
-            self.active_workers = list(names)
+        def __init__(self):
+            self.active_workers = []
             self.outstanding = 0
 
     class _Admission:
         depth = 0
 
-    class _Node:
-        def __init__(self, busy):
-            self.is_idle = not busy
-
     def __init__(self, workers=4, busy=True):
-        self.master = self._Master([f"w{i}" for i in range(workers)])
+        self.master = self._Master()
         self.admission = self._Admission()
-        self.workers = {name: self._Node(busy) for name in self.master.active_workers}
+        self.fleet = FleetState()
         self.closed = False
         self.actions = []
+        for i in range(workers):
+            self._join(f"w{i}", busy)
+
+    def _join(self, name, busy):
+        self.master.active_workers.append(name)
+        self.fleet.report(self.fleet.on_join(name), int(busy), 0)
 
     def scale_up(self):
-        name = f"e{len(self.actions)}"
-        self.master.active_workers.append(name)
-        self.workers[name] = self._Node(True)
+        self._join(f"e{len(self.actions)}", True)
         self.actions.append("up")
 
     def crash(self, count=1):
         for _ in range(count):
-            victim = self.master.active_workers.pop()
-            del self.workers[victim]
+            self.fleet.on_fail(self.master.active_workers.pop())
 
     def scale_down(self):
-        victim = self.master.active_workers.pop()
-        del self.workers[victim]
+        self.fleet.on_retire(self.master.active_workers.pop())
         self.actions.append("down")
 
 
