@@ -41,6 +41,7 @@ from repro.net.noise import make_noise
 from repro.net.topology import Topology, TopologyConfig
 from repro.obs.recorder import ObsRecorder, as_obs_config
 from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.pull import PullMasterPolicy
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams, split_seed
 from repro.workload.job import JobStream
@@ -247,6 +248,38 @@ def restart_worker(host, name: str) -> WorkerNode:
     return node
 
 
+def register_policy_gauges(probes, master, policy, origin, extra=()) -> None:
+    """Register the master, fleet and policy gauges both runtimes share.
+
+    Order: ``master.outstanding``, ``fleet.active``, ``fleet.busy``, then
+    each ``(name, fn, unit)`` of ``extra``, then ``offers.in_flight``
+    (pull schedulers), ``contests.open`` (bidding) and ``origin.active``
+    (shared-origin runs) -- the probe order is part of the trace.
+    """
+    fleet = master.fleet
+    probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
+    probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
+    probes.register("fleet.busy", fleet.busy_count, unit="workers")
+    for name, fn, unit in extra:
+        probes.register(name, fn, unit=unit)
+    if isinstance(policy, PullMasterPolicy):
+        probes.register("offers.in_flight", lambda: len(policy.in_flight), unit="offers")
+    if hasattr(policy, "contests"):
+        # The policy keeps closed contests in the map (late-bid
+        # diagnostics), so count status, not membership.
+        probes.register(
+            "contests.open",
+            lambda: sum(
+                1
+                for contest in policy.contests.values()
+                if contest.status.value == "open"
+            ),
+            unit="contests",
+        )
+    if origin is not None:
+        probes.register("origin.active", lambda: origin.active_count, unit="transfers")
+
+
 def single_task_pipeline() -> Pipeline:
     """The trivial pipeline used by the Section 6.3 controlled runs:
     a lone ``RepositoryAnalyzer`` consuming analysis jobs, no children."""
@@ -422,34 +455,14 @@ class WorkflowRuntime:
         fault injector's read-at-action-time contract).
         """
         probes = self.obs.probes
-        master = self.master
         fleet = self.fleet
-        probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
-        probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        probes.register("fleet.busy", fleet.busy_count, unit="workers")
-        probes.register("links.busy", fleet.link_busy_count, unit="links")
-        policy = self._master_policy
-        if hasattr(policy, "in_flight"):
-            probes.register(
-                "offers.in_flight", lambda: len(policy.in_flight), unit="offers"
-            )
-        if hasattr(policy, "contests"):
-            # The policy keeps closed contests in the map (late-bid
-            # diagnostics), so count status, not membership.
-            probes.register(
-                "contests.open",
-                lambda: sum(
-                    1
-                    for contest in policy.contests.values()
-                    if contest.status.value == "open"
-                ),
-                unit="contests",
-            )
-        if self._origin is not None:
-            origin = self._origin
-            probes.register(
-                "origin.active", lambda: origin.active_count, unit="transfers"
-            )
+        register_policy_gauges(
+            probes,
+            self.master,
+            self._master_policy,
+            self._origin,
+            [("links.busy", fleet.link_busy_count, "links")],
+        )
         # Vector probe groups: one array gather per sample; restart-swapped
         # nodes report into the same slot, so the gather stays current.
         names = list(self.workers)

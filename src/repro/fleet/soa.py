@@ -607,13 +607,14 @@ class JobAgeTable:
 
 
 class HoldingsIndex:
-    """Vectorised mirror of a policy's ``{worker: {repo}}`` holdings view.
+    """A policy's ``{worker: {repo}}`` holdings view as a bit matrix.
 
-    The completions-derived block map of the matchmaking/delay masters:
+    The completions-derived block map of the matchmaking/delay masters
+    (:class:`~repro.schedulers.pull.LocalityPullMasterPolicy`):
     insert-only per worker (a worker's row is wiped only when the node
     dies).  This is intentionally a *separate* plane from the live cache
     matrix -- the policies' knowledge lags reality (no evictions, no
-    prefetches), and the mirror must reproduce their view, not fix it.
+    prefetches), and the index must reproduce their view, not fix it.
     """
 
     def __init__(self) -> None:
@@ -634,6 +635,11 @@ class HoldingsIndex:
         row = self.rows.get(worker)
         if row is not None:
             self.matrix.clear_row(row)
+
+    def holds(self, worker: str, repo_id: str) -> bool:
+        """Whether ``worker``'s row has ``repo_id`` (read-only)."""
+        row = self.rows.get(worker)
+        return row is not None and self.matrix.test(row, repo_id)
 
     def col(self, repo_id: str) -> int:
         return self.matrix.col(repo_id, create=True)
@@ -658,7 +664,7 @@ class LocalityQueue:
     """A FIFO of jobs with a parallel repo-column array.
 
     The job queue of the matchmaking/delay masters: deque-style
-    append/appendleft/popleft/delete-at-index operations, plus a
+    append/appendleft/popleft/delete-at-index/clear operations, plus a
     vectorised first-local scan against a :class:`HoldingsIndex` (one
     boolean gather instead of a per-job ``set`` probe).
     """
@@ -700,6 +706,9 @@ class LocalityQueue:
 
     def popleft(self):
         return self.delete(0)
+
+    def clear(self) -> None:
+        self._jobs.clear()
 
     def delete(self, i: int):
         job = self._jobs.pop(i)

@@ -22,6 +22,11 @@ Implemented policies:
 ``round-robin``     Cyclic push assignment (control).
 ==================  =========================================================
 
+``baseline``, ``matchmaking`` and ``delay`` are strategies on one
+pull-policy core, :mod:`repro.schedulers.pull`: each supplies only the
+rule choosing which queued job to offer a pulling worker (and Baseline
+its worker's acceptance criterion).
+
 Use :func:`repro.schedulers.registry.make_scheduler` to construct any of
 them by name.
 """

@@ -38,6 +38,7 @@ from repro.engine.master import Master
 from repro.engine.runtime import (
     EngineConfig,
     build_worker_node,
+    register_policy_gauges,
     restart_worker,
     single_task_pipeline,
 )
@@ -294,43 +295,23 @@ class ServiceRuntime:
         Worker gauges resolve by name through ``self.workers``, so
         restart- and scale-swapped nodes are always the live objects.
         """
-        probes = self.obs.probes
-        master = self.master
-        probes.register("master.outstanding", lambda: master.outstanding, unit="jobs")
-        probes.register("fleet.active", lambda: len(master.active_workers), unit="workers")
-        probes.register("fleet.busy", self.fleet.busy_count, unit="workers")
-        probes.register("service.inflight", lambda: self.inflight, unit="jobs")
-        probes.register(
-            "admission.depth", lambda: self.admission.depth, unit="jobs"
-        )
-        probes.register("admission.shed", lambda: self.admission.shed, unit="jobs")
-        probes.register(
-            "slo.attainment",
-            lambda: 1.0
-            - self.slo.deadline_misses / max(1, self.slo.completed),
-        )
-        policy = self._master_policy
-        if hasattr(policy, "in_flight"):
-            probes.register(
-                "offers.in_flight", lambda: len(policy.in_flight), unit="offers"
-            )
-        if hasattr(policy, "contests"):
-            # The policy keeps closed contests in the map (late-bid
-            # diagnostics), so count status, not membership.
-            probes.register(
-                "contests.open",
-                lambda: sum(
-                    1
-                    for contest in policy.contests.values()
-                    if contest.status.value == "open"
+        register_policy_gauges(
+            self.obs.probes,
+            self.master,
+            self._master_policy,
+            self._origin,
+            [
+                ("service.inflight", lambda: self.inflight, "jobs"),
+                ("admission.depth", lambda: self.admission.depth, "jobs"),
+                ("admission.shed", lambda: self.admission.shed, "jobs"),
+                (
+                    "slo.attainment",
+                    lambda: 1.0
+                    - self.slo.deadline_misses / max(1, self.slo.completed),
+                    "",
                 ),
-                unit="contests",
-            )
-        if self._origin is not None:
-            origin = self._origin
-            probes.register(
-                "origin.active", lambda: origin.active_count, unit="transfers"
-            )
+            ],
+        )
 
     def _deadline_guard(self):
         yield self.sim.timeout(self.config.max_sim_time)

@@ -129,43 +129,3 @@ class TestRequeueVariants:
         with pytest.raises(ValueError):
             make_baseline_policy(heartbeat_s=0.0).make_worker()
 
-
-class TestPullDiscipline:
-    def test_worker_executes_one_job_at_a_time(self):
-        stream = arrivals(*[(f"j{i}", f"r{i}", 100.0, 0.0) for i in range(6)])
-        runtime = runtime_for(stream, n_workers=2)
-        runtime.metrics.trace.enabled = True
-        runtime.run()
-        # Reconstruct per-worker concurrency from the trace.
-        running = {name: 0 for name in runtime.workers}
-        peak = 0
-        for event in runtime.metrics.trace:
-            if event.kind == "started":
-                running[event.worker] += 1
-                peak = max(peak, max(running.values()))
-            elif event.kind == "completed" and event.worker is not None:
-                running[event.worker] -= 1
-        assert peak == 1
-
-    def test_offers_only_go_to_pulling_workers(self):
-        stream = arrivals(*[(f"j{i}", f"r{i}", 20.0, 0.0) for i in range(4)])
-        runtime = runtime_for(stream, n_workers=2)
-        runtime.metrics.trace.enabled = True
-        runtime.run()
-        offers = runtime.metrics.trace.of_kind("offered")
-        assert offers, "expected offers to be traced"
-        # An offer must never target a worker that is mid-execution.
-        for offer in offers:
-            starts = [
-                e
-                for e in runtime.metrics.trace
-                if e.kind == "started" and e.worker == offer.worker and e.time <= offer.time
-            ]
-            ends = [
-                e
-                for e in runtime.metrics.trace
-                if e.kind == "completed" and e.worker == offer.worker and e.time <= offer.time
-            ]
-            assert len(starts) == len(ends), (
-                f"offer to {offer.worker} at {offer.time} while executing"
-            )
